@@ -51,7 +51,10 @@ class CostProvider:
         return float(self.row(player)[klass])
 
     def dense(self) -> np.ndarray:
-        """Materialize the full ``n x k`` matrix (used by LP baselines)."""
+        """Materialize the full ``n x k`` matrix (used by LP baselines).
+
+        Like :meth:`row`, returns a fresh array the caller may mutate.
+        """
         if self.num_players == 0:
             return np.empty((0, self.num_classes), dtype=np.float64)
         return np.vstack([self.row(v) for v in range(self.num_players)])

@@ -9,6 +9,9 @@ Provides the certificates the tests and benchmarks rely on:
   ``1 + ((1−α)/α) · (deg_avg · w_avg) / (2 · c_avg)``.
 * :func:`round_bound` — Lemma 2's ``max{C*, W*}`` bound on the number of
   rounds under integer scaling.
+
+Each check is a whole-array reduction costing O(k·|V|+|E|), no more than
+one best-response round (Lemma 1).
 """
 
 from __future__ import annotations
@@ -18,8 +21,9 @@ from typing import List, Tuple
 
 import numpy as np
 
+from repro.core.global_table import build_global_table
 from repro.core.instance import RMGPInstance
-from repro.core.objective import player_strategy_costs
+from repro.core.normalization import average_min_cost
 
 #: Strictness margin for "can improve"; matches the solvers' deviation rule.
 EQUILIBRIUM_TOLERANCE = 1e-9
@@ -52,20 +56,24 @@ def equilibrium_report(
     assignment: np.ndarray,
     tolerance: float = EQUILIBRIUM_TOLERANCE,
 ) -> EquilibriumReport:
-    """Check the Nash condition for every player."""
+    """Check the Nash condition for every player.
+
+    One O(k·|V|+|E|) pass: the ``|V| x k`` strategy-cost table of
+    :func:`~repro.core.global_table.build_global_table`, then each
+    player's regret is his current entry minus his row minimum.
+    """
     instance.validate_assignment(assignment)
-    max_regret = 0.0
-    unstable: List[int] = []
-    for player in range(instance.n):
-        costs = player_strategy_costs(instance, assignment, player)
-        regret = float(costs[int(assignment[player])] - costs.min())
-        if regret > max_regret:
-            max_regret = regret
-        if regret > tolerance:
-            unstable.append(player)
+    if instance.n == 0:
+        return EquilibriumReport(
+            is_equilibrium=True, max_regret=0.0, unstable_players=[]
+        )
+    table = build_global_table(instance, assignment)
+    current = table[np.arange(instance.n), np.asarray(assignment)]
+    regrets = current - table.min(axis=1)
+    unstable = np.flatnonzero(regrets > tolerance).tolist()
     return EquilibriumReport(
         is_equilibrium=not unstable,
-        max_regret=max_regret,
+        max_regret=max(0.0, float(regrets.max())),
         unstable_players=unstable,
     )
 
@@ -96,9 +104,7 @@ def price_of_anarchy_bound(instance: RMGPInstance) -> float:
     w_avg = instance.graph.average_edge_weight()
     if instance.n == 0:
         return 1.0
-    c_avg = float(
-        np.mean([instance.cost.row(v).min() for v in range(instance.n)])
-    )
+    c_avg = average_min_cost(instance)
     if c_avg <= 0:
         return float("inf")
     alpha = instance.alpha
@@ -112,9 +118,7 @@ def round_bound(instance: RMGPInstance, scale: float) -> float:
     integral.  ``C* = d · Σ_v max_p c(v, p)`` (worst total assignment
     cost) and ``W* = (d/2) · Σ_e w_e`` (all edges cut).
     """
-    worst_assignment = sum(
-        float(instance.cost.row(v).max()) for v in range(instance.n)
-    )
+    worst_assignment = float(instance.cost.dense().max(axis=1).sum())
     c_star = scale * worst_assignment
     w_star = 0.5 * scale * instance.graph.total_edge_weight()
     return max(c_star, w_star)

@@ -56,18 +56,16 @@ def average_min_cost(instance: RMGPInstance) -> float:
     """``dist_min``: mean over users of their cheapest class cost."""
     if instance.n == 0:
         return 0.0
-    return float(
-        np.mean([instance.cost.row(v).min() for v in range(instance.n)])
-    )
+    return float(np.mean(instance.cost.dense().min(axis=1)))
 
 
 def average_median_cost(instance: RMGPInstance) -> float:
     """``dist_med``: mean over users of their median class cost."""
     if instance.n == 0:
         return 0.0
-    return float(
-        np.mean([np.median(instance.cost.row(v)) for v in range(instance.n)])
-    )
+    # dense() is a fresh copy, so the median may partition it in place.
+    dense = instance.cost.dense()
+    return float(np.mean(np.median(dense, axis=1, overwrite_input=True)))
 
 
 def estimate_cn(instance: RMGPInstance, method: str) -> NormalizationEstimate:

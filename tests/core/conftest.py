@@ -9,7 +9,11 @@ import numpy as np
 import pytest
 
 from repro.core import RMGPInstance
+from repro.core.costs import CombinedCost, FunctionCost, MatrixCost, ScaledCost
 from repro.graph import SocialGraph, erdos_renyi
+
+#: Names accepted by :func:`cost_provider`, one per provider class.
+COST_PROVIDERS = ("matrix", "scaled", "function", "combined")
 
 
 def random_instance(
@@ -23,6 +27,21 @@ def random_instance(
     graph = erdos_renyi(num_players, edge_probability, random.Random(seed))
     cost = np.random.default_rng(seed).uniform(0.0, 1.0, (num_players, num_classes))
     return RMGPInstance(graph, list(range(num_classes)), cost, alpha=alpha)
+
+
+def cost_provider(name: str, matrix: np.ndarray, other: np.ndarray):
+    """The named provider over ``matrix`` (``other`` is combined's second term)."""
+    n, k = matrix.shape
+    if name == "matrix":
+        return MatrixCost(matrix)
+    if name == "scaled":
+        return ScaledCost(MatrixCost(matrix), 0.37)
+    if name == "function":
+        return FunctionCost(lambda v: matrix[v], n, k)
+    return CombinedCost(
+        [MatrixCost(matrix), FunctionCost(lambda v: other[v], n, k)],
+        [0.6, 1.7],
+    )
 
 
 def tiny_instance(seed: int = 0, alpha: float = 0.5) -> RMGPInstance:

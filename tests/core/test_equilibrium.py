@@ -7,6 +7,7 @@ from repro.baselines import solve_exact
 from repro.core import (
     RMGPInstance,
     equilibrium_report,
+    estimate_cn,
     is_nash_equilibrium,
     price_of_anarchy_bound,
     price_of_stability_bound,
@@ -14,6 +15,7 @@ from repro.core import (
     solve_baseline,
 )
 from repro.core.equilibrium import anarchy_gap
+from repro.core.normalization import NORMALIZATION_METHODS
 from repro.graph import SocialGraph
 
 from tests.core.conftest import tiny_instance
@@ -118,3 +120,41 @@ class TestBounds:
         result = solve_baseline(instance, seed=seed, track_potential=True)
         # Costs are floats; a scale of 1e6 makes an integer-ish potential.
         assert result.num_rounds <= round_bound(instance, scale=1e6)
+
+
+class TestEdgeCasePins:
+    """Degenerate inputs whose outputs the whole-table certifier keeps."""
+
+    def test_empty_instance(self):
+        instance = RMGPInstance(
+            SocialGraph.from_edges([]), ["a", "b"], np.zeros((0, 2))
+        )
+        report = equilibrium_report(instance, np.zeros(0, dtype=np.int64))
+        assert report.is_equilibrium
+        assert report.max_regret == 0.0
+        assert report.unstable_players == []
+        assert price_of_anarchy_bound(instance) == 1.0
+        assert round_bound(instance, 10.0) == 0.0
+        for method in NORMALIZATION_METHODS:
+            assert estimate_cn(instance, method).cn == 1
+
+    def test_edgeless_unit_costs(self):
+        graph = SocialGraph(range(3))
+        instance = RMGPInstance(graph, ["a", "b"], np.ones((3, 2)))
+        report = equilibrium_report(instance, np.array([0, 1, 0]))
+        assert report.is_equilibrium
+        assert report.max_regret == 0.0
+        assert price_of_anarchy_bound(instance) == 1.0
+        assert round_bound(instance, 10.0) == 30.0
+
+    def test_regret_equal_to_tolerance_is_stable(self):
+        """Only a regret strictly above the tolerance marks a player."""
+        graph = SocialGraph(range(2))
+        cost = np.array([[0.0, 0.5], [0.0, 0.5]])
+        instance = RMGPInstance(graph, ["a", "b"], cost, alpha=0.5)
+        assignment = np.array([1, 0])  # player 0 regrets exactly 0.25
+        at = equilibrium_report(instance, assignment, tolerance=0.25)
+        assert at.is_equilibrium
+        assert at.max_regret == 0.25
+        below = equilibrium_report(instance, assignment, tolerance=0.125)
+        assert below.unstable_players == [0]

@@ -19,7 +19,7 @@ from repro.core import (
 from repro.errors import ConfigurationError
 from repro.graph import SocialGraph
 
-from tests.core.conftest import random_instance
+from tests.core.conftest import COST_PROVIDERS, cost_provider, random_instance
 
 
 def scaled_instance(scale: float, seed: int = 0) -> RMGPInstance:
@@ -138,3 +138,60 @@ class TestExactCN:
         graph = SocialGraph.from_edges([(0, 1, 1.0)])
         instance = RMGPInstance(graph, ["a"], np.zeros((2, 1)))
         assert exact_cn(instance, np.zeros(2, dtype=np.int64)) == 1.0
+
+
+def per_row_estimate(instance: RMGPInstance, method: str):
+    """Reference RMGP_N estimate: one ``cost.row`` reduction per user."""
+    avg_min = float(
+        np.mean([instance.cost.row(v).min() for v in range(instance.n)])
+    )
+    avg_med = float(
+        np.mean([np.median(instance.cost.row(v)) for v in range(instance.n)])
+    )
+    deg_avg = instance.graph.average_degree()
+    w_avg = instance.graph.average_edge_weight()
+    k = instance.k
+    if method == "optimistic":
+        cn = (deg_avg * w_avg) / (2.0 * avg_min * sqrt(k))
+    else:
+        cn = (deg_avg * (k - 1) * w_avg) / (2.0 * avg_med * k)
+    return cn, avg_min, avg_med
+
+
+def provider_instance(provider: str, k: int, seed: int) -> RMGPInstance:
+    """A 300-user instance with costs up to 1000 from the named provider."""
+    base = random_instance(
+        num_players=300, num_classes=k, edge_probability=0.03, seed=seed
+    )
+    matrix = base.cost.dense() * 1000.0
+    other = np.random.default_rng(seed + 1).uniform(0.0, 50.0, matrix.shape)
+    cost = cost_provider(provider, matrix, other)
+    return RMGPInstance(base.graph, base.classes, cost, alpha=base.alpha)
+
+
+class TestBitIdentity:
+    """The whole-table reductions equal the per-row formula exactly.
+
+    ``C_N`` scales every normalized instance, so a last-ulp change here
+    would move assignments and their hashes: compare with ``==``.
+    """
+
+    @pytest.mark.parametrize("provider", COST_PROVIDERS)
+    @pytest.mark.parametrize("k", [2, 3, 15, 16])
+    @pytest.mark.parametrize("method", ["optimistic", "pessimistic"])
+    def test_estimate_matches_per_row_formula(self, provider, k, method):
+        instance = provider_instance(provider, k, seed=k)
+        est = estimate_cn(instance, method)
+        cn, avg_min, avg_med = per_row_estimate(instance, method)
+        assert est.avg_min_cost == avg_min
+        assert est.avg_median_cost == avg_med
+        assert est.cn == cn
+
+    @pytest.mark.parametrize("provider", COST_PROVIDERS)
+    def test_single_class_statistics(self, provider):
+        instance = provider_instance(provider, 1, seed=5)
+        _, avg_min, avg_med = per_row_estimate(instance, "pessimistic")
+        assert average_min_cost(instance) == avg_min
+        assert average_median_cost(instance) == avg_med
+        # k = 1 zeroes the pessimistic numerator: identity scaling.
+        assert estimate_cn(instance, "pessimistic").cn == 1.0
