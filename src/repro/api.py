@@ -56,7 +56,9 @@ class SolveOptions:
     ----------
     alpha:
         Override the instance's preference parameter (the instance is
-        cloned via :meth:`RMGPInstance.with_alpha`).
+        cloned via :meth:`RMGPInstance.with_alpha`: a zero-copy clone
+        that shares the CSR adjacency, O(|V|) for the new
+        ``max_social_cost``).
     init / order / seed / max_rounds / warm_start:
         Forwarded to the solver when it supports the knob; explicitly
         setting one a variant lacks (e.g. ``order`` for ``"vec"``)

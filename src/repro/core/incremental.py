@@ -108,7 +108,10 @@ class IncrementalRMGP:
         auto_resolve: bool = True,
     ) -> None:
         self._recorder = recorder
-        # Materialize the cost matrix: updates mutate it in place.
+        # Materialize the cost matrix: updates mutate it in place.  The
+        # clone shares the caller's graph state copy-on-write: the first
+        # structural mutation takes private copies (RMGPInstance.unshare),
+        # so the caller's instance is never touched.
         self._matrix = instance.cost.dense()
         self.instance = instance.with_cost(MatrixCost(self._matrix))
         # MatrixCost copies; keep the live reference used by the solver.
@@ -200,6 +203,7 @@ class IncrementalRMGP:
         (:meth:`RMGPInstance.update_edge_weight`) — no layout rebuild.
         """
         self._index(u), self._index(v)
+        self.instance.unshare()
         graph = self.instance.graph
         if graph.has_edge(u, v):
             old = graph.weight(u, v)
@@ -221,6 +225,7 @@ class IncrementalRMGP:
     def remove_edge(self, u: NodeId, v: NodeId) -> None:
         """A friendship dissolves."""
         weight = self.instance.graph.weight(u, v)
+        self.instance.unshare()
         self.instance.graph.remove_edge(u, v)
         self._touch_adjacency()
         self._apply_edge_delta(u, v, weight, sign=-1.0)
@@ -261,6 +266,7 @@ class IncrementalRMGP:
             if friend not in inst.index_of:
                 raise ConfigurationError(f"unknown user {friend!r}")
 
+        inst.unshare()
         inst.graph.add_node(node)
         for friend, w in edges:
             inst.graph.add_edge(node, friend, w)
@@ -306,6 +312,7 @@ class IncrementalRMGP:
         inst = self.instance
         for friend, w in list(inst.graph.neighbors(node).items()):
             self._apply_edge_delta(node, friend, w, sign=-1.0)
+        inst.unshare()
         inst.graph.remove_node(node)
         inst.node_ids.pop(index)
         inst.index_of = {nid: i for i, nid in enumerate(inst.node_ids)}
@@ -607,11 +614,6 @@ class IncrementalRMGP:
             return self.instance.index_of[node]
         except KeyError as exc:
             raise ConfigurationError(f"unknown user {node!r}") from exc
-
-    def _rebuild_adjacency(self, nodes: Iterable[NodeId]) -> None:
-        """Refresh the instance's CSR adjacency after a graph mutation."""
-        del nodes
-        self._touch_adjacency()
 
     def _apply_edge_delta(
         self, u: NodeId, v: NodeId, weight: float, sign: float
