@@ -65,7 +65,7 @@ def test_fig12a_table(benchmark, emit):
     emit(table)
     # The paper's headline: gt is the best single optimization at every
     # k.  RMGP_all pays fixed round-0 overheads (coloring, valid regions,
-    # pruned table) that only amortize once k/|V| grow, so it is asserted
+    # batch construction) that only amortize once k/|V| grow, so it is asserted
     # at the sweep's largest k (and beats the baseline at every k at
     # paper scale — see benchmarks/results/full/).
     for row in table.rows:

@@ -2,7 +2,8 @@
 """Perf-regression harness for the core best-response solvers.
 
 Measures end-to-end wall time, round counts and final assignments of the
-four solver kernels (RMGP_b / RMGP_is / RMGP_gt / RMGP_vec) on
+paper presets (RMGP_b / RMGP_se / RMGP_is / RMGP_gt / RMGP_all /
+RMGP_vec) on
 fixed-seed fig8-scale instances and compares them against the committed
 numbers in ``benchmarks/BENCH_core.json``:
 
@@ -54,6 +55,7 @@ if str(REPO_ROOT / "src") not in sys.path:
 from repro.bench import history as bench_history  # noqa: E402
 from repro.bench.workloads import instance_for, small_uml_dataset  # noqa: E402
 from repro.core.baseline import _solve_baseline as solve_baseline  # noqa: E402
+from repro.core.combined import _solve_all as solve_all  # noqa: E402
 from repro.core.global_table import (  # noqa: E402
     _solve_global_table as solve_global_table,
 )
@@ -61,6 +63,9 @@ from repro.core.independent_sets import (  # noqa: E402
     _solve_independent_sets as solve_independent_sets,
 )
 from repro.core.normalization import normalize  # noqa: E402
+from repro.core.strategy_elimination import (  # noqa: E402
+    _solve_strategy_elimination as solve_strategy_elimination,
+)
 from repro.core.vectorized import _solve_vectorized as solve_vectorized  # noqa: E402
 
 BENCH_FILE = REPO_ROOT / "benchmarks" / "BENCH_core.json"
@@ -95,6 +100,17 @@ SOLVERS = {
         inst, init="closest", order="given", seed=0
     ),
     "RMGP_b_rand": lambda inst: solve_baseline(
+        inst, init="random", order="random", seed=0
+    ),
+    "RMGP_se": lambda inst: solve_strategy_elimination(
+        inst, init="closest", order="given", seed=0
+    ),
+    "RMGP_all": lambda inst: solve_all(
+        inst, init="closest", order="given", seed=0
+    ),
+    # Random init and order pin RMGP_is's RNG draw order (the sweep
+    # permutation is drawn before the initial assignment).
+    "RMGP_is_rand": lambda inst: solve_independent_sets(
         inst, init="random", order="random", seed=0
     ),
     # Shared-memory worker-pool backend.  Assignments are byte-identical

@@ -42,10 +42,7 @@ from repro.core.global_table import (
     happiness,
     solve_global_table,
 )
-from repro.core.independent_sets import (
-    groups_from_coloring,
-    solve_independent_sets,
-)
+from repro.core.independent_sets import solve_independent_sets
 from repro.core.instance import RMGPInstance
 from repro.core.normalization import (
     NormalizationEstimate,
@@ -77,7 +74,7 @@ from repro.core.strategy_elimination import (
     build_elimination_plan,
     solve_strategy_elimination,
 )
-from repro.core.vectorized import solve_vectorized
+from repro.core.vectorized import groups_from_coloring, solve_vectorized
 
 __all__ = [
     "ClassProfile",

@@ -23,7 +23,11 @@ import numpy as np
 
 from repro.core import dynamics
 from repro.core.instance import RMGPInstance
-from repro.core.objective import player_strategy_costs, potential
+from repro.core.objective import (
+    potential,
+    strategy_cost_base,
+    strategy_refunds,
+)
 from repro.core.result import PartitionResult, RoundStats, make_result
 from repro.obs.recorder import Recorder, active_recorder
 from repro.runtime.budget import RuntimeBudget
@@ -103,6 +107,8 @@ def _solve_baseline(
     )
     restored = load_resume(resume_from, instance, name, rec)
     with rec.span("solve", solver=name, n=instance.n, k=instance.k):
+        base = strategy_cost_base(instance)
+        refunds = strategy_refunds(instance)
         if restored is not None:
             assignment = restored.assignment
             sweep = [int(p) for p in restored.state["sweep"]]
@@ -153,8 +159,8 @@ def _solve_baseline(
             if reshuffle_each_round and order == "random":
                 sweep = dynamics.player_order(instance, order, rng)
             with rec.span("round", round=round_index) as round_span:
-                deviations, examined = _best_response_round(
-                    instance, assignment, sweep, active
+                deviations, examined = best_response_round(
+                    instance, assignment, sweep, active, base, refunds
                 )
             rec.round_end(
                 round_span, name, round_index,
@@ -198,11 +204,14 @@ def _solve_baseline(
     )
 
 
-def _best_response_round(
+def best_response_round(
     instance: RMGPInstance,
     assignment: np.ndarray,
     sweep: List[int],
     active: dynamics.ActiveSet,
+    base: np.ndarray,
+    refunds: np.ndarray,
+    fixed: Optional[np.ndarray] = None,
 ) -> tuple:
     """One frontier round of Figure 3 lines 5-13.
 
@@ -210,25 +219,37 @@ def _best_response_round(
     up-to-date strategies of earlier ones (sequential best response).
     Only dirty players are examined; a mover marks its CSR neighbor
     slice dirty (some of whom sit later in this very sweep, exactly as
-    the full sweep would reach them).  Returns ``(deviations, examined)``.
+    the full sweep would reach them), except the ``fixed`` players, who
+    never move.  An examined player's costs are his row of ``base``
+    (:func:`~repro.core.objective.strategy_cost_base`, ``+inf`` on
+    pruned classes) minus his friends' ``refunds`` — the arithmetic of
+    :func:`~repro.core.objective.player_strategy_costs`.  Returns
+    ``(deviations, examined)``.
     """
     deviations = 0
     examined = 0
     tol = dynamics.DEVIATION_TOLERANCE
     flags = active.flags
-    neighbor_views = instance.neighbor_indices
+    indptr = instance.indptr.tolist()
+    indices = instance.indices
     for player in sweep:
         if not flags[player]:
             continue
         flags[player] = False
         examined += 1
-        costs = player_strategy_costs(instance, assignment, player)
+        costs = base[player].copy()
+        lo, hi = indptr[player], indptr[player + 1]
+        friends = indices[lo:hi]
+        np.subtract.at(costs, assignment[friends], refunds[lo:hi])
         current = int(assignment[player])
         best = int(costs.argmin())
         if best != current and costs[best] < costs[current] - tol:
             assignment[player] = best
             deviations += 1
-            flags[neighbor_views[player]] = True
+            if fixed is None:
+                flags[friends] = True
+            else:
+                flags[friends] = ~fixed[friends]
     return deviations, examined
 
 

@@ -1,59 +1,38 @@
 """RMGP_all — all three optimizations composed (Section 6.3).
 
 "The proposed optimizations are orthogonal and can be applied in any
-combination" (Section 4); RMGP_all applies all of them:
+combination" (Section 4); RMGP_all applies all of them on the batched
+color-group engine of :mod:`repro.core.vectorized`:
 
-* **strategy elimination** — the global table is built only over each
-  player's reduced strategy space ``S'_v`` (pruned entries are ``+inf``),
-  and single-strategy players are fixed up front, which also shrinks the
-  table ("the space requirement can be reduced", Section 4.3);
-* **global table** — only unhappy players are examined;
-* **independent strategies** — rounds sweep color groups, enabling the
-  parallel processing of Section 4.2 (the group structure is also what
+* **strategy elimination** — each player's strategy space is reduced to
+  ``S'_v`` (pruned classes cost ``+inf`` in the batch base costs), and
+  single-strategy players are fixed up front and leave the groups;
+* **global table** — only players whose costs may have changed are
+  examined: the dirty frontier marks exactly the players a table update
+  would touch, and recomputing an examined player's costs is the same
+  O(deg) work the table's refund updates pay;
+* **independent strategies** — rounds sweep color groups, each group's
+  dirty members evaluated as one batch (the group structure is also what
   the decentralized game of Section 5 distributes across slaves).
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core import dynamics
-from repro.core.global_table import happiness
-from repro.core.independent_sets import groups_from_coloring
 from repro.core.instance import RMGPInstance
-from repro.core.objective import potential
-from repro.core.result import PartitionResult, RoundStats, make_result
+from repro.core.result import PartitionResult
 from repro.core.strategy_elimination import (
     EliminationPlan,
     build_elimination_plan,
 )
+from repro.core.vectorized import draw_order, groups_from_coloring, run_batched
 from repro.obs.recorder import Recorder, active_recorder
 from repro.runtime.budget import RuntimeBudget
-from repro.runtime.checkpoint import SolveCheckpoint, rounds_to_payload
-from repro.runtime.executor import SolveRuntime, load_resume
-
-
-def build_pruned_table(
-    instance: RMGPInstance, assignment: np.ndarray, plan: EliminationPlan
-) -> np.ndarray:
-    """Global table restricted to valid strategies (pruned = ``+inf``)."""
-    alpha = instance.alpha
-    table = np.full((instance.n, instance.k), np.inf, dtype=np.float64)
-    for player in range(instance.n):
-        valid = plan.valid_classes[player]
-        table[player, valid] = (
-            alpha * instance.cost.row(player)[valid]
-            + instance.max_social_cost[player]
-        )
-        idx = instance.neighbor_indices[player]
-        if idx.size:
-            refund = (1.0 - alpha) * 0.5 * instance.neighbor_weights[player]
-            # Refunds on pruned classes act on +inf and leave them invalid.
-            np.subtract.at(table[player], assignment[idx], refund)
-    return table
 
 
 def _solve_all(
@@ -73,176 +52,47 @@ def _solve_all(
 ) -> PartitionResult:
     """Run RMGP_all on ``instance``.
 
-    Round 0 covers ordering, initial assignment, valid-region computation
-    and pruned-table construction, matching the paper's accounting of the
-    expensive initialization step (Figure 12(c)).  Like RMGP_gt, the
-    checkpoint serializes the (incrementally-updated) pruned table;
-    ``+inf`` pruned entries survive the raw-buffer encoding unchanged.
-    The elimination plan is deterministic and rebuilt on resume.
+    Round 0 covers valid-region computation, initial assignment,
+    ordering and batch construction, matching the paper's accounting of
+    the expensive initialization step (Figure 12(c)).  The checkpoint
+    stores the groups, as RMGP_vec's does; the elimination plan is
+    deterministic and rebuilt on resume.
     """
     rec = active_recorder(recorder)
     rng = random.Random(seed)
     clock = dynamics.RoundClock()
+    if plan is None:
+        with rec.span("build_plan"):
+            plan = build_elimination_plan(instance)
+    fixed = plan.fixed_class >= 0
 
-    runtime = SolveRuntime.create(
+    def start() -> Tuple[List[List[int]], np.ndarray]:
+        assignment = dynamics.initial_assignment(
+            instance, init, rng, warm_start
+        )
+        assignment[fixed] = plan.fixed_class[fixed]
+        groups = groups_from_coloring(instance, coloring)
+        draw_order(instance, order, rng)
+        groups = [[p for p in group if not fixed[p]] for group in groups]
+        return [g for g in groups if g], assignment
+
+    run = run_batched(
+        instance, "RMGP_all", start, rng, clock, rec,
+        max_rounds=max_rounds,
+        valid=plan.valid,
+        fixed=fixed,
         budget=budget,
         checkpoint_every=checkpoint_every,
         checkpoint_path=checkpoint_path,
-        recorder=rec,
+        resume_from=resume_from,
     )
-    restored = load_resume(resume_from, instance, "RMGP_all", rec)
-    with rec.span("solve", solver="RMGP_all", n=instance.n, k=instance.k):
-        if restored is not None:
-            if plan is None:
-                plan = build_elimination_plan(instance)
-            fixed_mask = plan.fixed_class >= 0
-            assignment = restored.assignment
-            groups = [
-                [int(p) for p in group]
-                for group in restored.state["groups"]
-            ]
-            table = restored.state["table"]
-            happy = ~restored.frontier
-            if restored.rng_state is not None:
-                rng.setstate(restored.rng_state)
-            rounds: List[RoundStats] = restored.restored_rounds()
-            round_index = restored.round_index
-        else:
-            with rec.span("round", round=0, phase="init") as init_span:
-                if plan is None:
-                    with rec.span("build_plan"):
-                        plan = build_elimination_plan(instance)
-                assignment = dynamics.initial_assignment(
-                    instance, init, rng, warm_start
-                )
-                fixed_mask = plan.fixed_class >= 0
-                assignment[fixed_mask] = plan.fixed_class[fixed_mask]
-
-                groups = groups_from_coloring(instance, coloring)
-                rank = {
-                    p: i
-                    for i, p in enumerate(
-                        dynamics.player_order(instance, order, rng)
-                    )
-                }
-                groups = [
-                    sorted(
-                        (p for p in group if not fixed_mask[p]),
-                        key=rank.__getitem__,
-                    )
-                    for group in groups
-                ]
-                groups = [g for g in groups if g]
-
-                with rec.span("build_table"):
-                    table = build_pruned_table(instance, assignment, plan)
-                happy = happiness(table, assignment)
-                happy[fixed_mask] = True
-                if init_span is not None:
-                    init_span.attrs.update(
-                        num_groups=len(groups), num_fixed=plan.num_fixed,
-                        table_bytes=int(table.nbytes),
-                    )
-            rounds = [
-                RoundStats(round_index=0, deviations=0, seconds=clock.lap())
-            ]
-            round_index = 0
-        rec.gauge("solver.table_bytes", table.nbytes, solver="RMGP_all")
-
-        def make_checkpoint() -> SolveCheckpoint:
-            return SolveCheckpoint(
-                solver="RMGP_all",
-                round_index=round_index,
-                assignment=assignment.copy(),
-                frontier=(~happy).copy(),
-                rng_state=rng.getstate(),
-                rounds=rounds_to_payload(rounds),
-                state={
-                    "groups": [[int(p) for p in g] for g in groups],
-                    "table": table.copy(),
-                },
-                fingerprint=SolveCheckpoint.fingerprint_of(instance),
-            )
-
-        half = (1.0 - instance.alpha) * 0.5
-        tol = dynamics.DEVIATION_TOLERANCE
-        converged = False
-        while not converged:
-            if runtime is not None and runtime.check(round_index + 1):
-                break
-            round_index += 1
-            dynamics.check_round_budget(round_index, max_rounds, "RMGP_all")
-            deviations = 0
-            examined = 0
-            with rec.span("round", round=round_index) as round_span:
-                for group in groups:
-                    # Members are non-adjacent: their best responses are
-                    # mutually independent, so this sweep equals a
-                    # simultaneous update.
-                    for player in group:
-                        if happy[player]:
-                            continue
-                        examined += 1
-                        current = int(assignment[player])
-                        best = int(table[player].argmin())
-                        if table[player, best] >= table[player, current] - tol:
-                            happy[player] = True
-                            continue
-                        assignment[player] = best
-                        happy[player] = True
-                        deviations += 1
-                        idx = instance.neighbor_indices[player]
-                        wts = instance.neighbor_weights[player]
-                        for friend, weight in zip(idx, wts):
-                            delta = half * weight
-                            table[friend, best] -= delta
-                            table[friend, current] += delta
-                            if fixed_mask[friend]:
-                                continue
-                            friend_class = int(assignment[friend])
-                            happy[friend] = (
-                                table[friend, friend_class]
-                                <= table[friend].min() + tol
-                            )
-            rec.round_end(
-                round_span, "RMGP_all", round_index,
-                deviations=deviations,
-                examined=examined,
-                # Table-driven: one row argmin per examined player.
-                cost_evaluations=examined,
-                frontier_fn=lambda: int((~happy).sum()),
-                potential_fn=lambda: potential(instance, assignment),
-            )
-            rounds.append(
-                RoundStats(
-                    round_index=round_index,
-                    deviations=deviations,
-                    seconds=clock.lap(),
-                    players_examined=examined,
-                )
-            )
-            converged = deviations == 0
-            if runtime is not None and not converged:
-                runtime.note_round(round_index, make_checkpoint)
-        if runtime is not None:
-            runtime.finalize(make_checkpoint)
-
-    extra = {
-        "num_fixed": plan.num_fixed,
-        "num_groups": len(groups),
-        "strategies_remaining": plan.strategies_remaining(),
-    }
-    if not converged:
-        extra["remaining_frontier"] = int((~happy).sum())
-    return make_result(
-        solver="RMGP_all",
-        instance=instance,
-        assignment=assignment,
-        rounds=rounds,
-        converged=converged,
-        wall_seconds=clock.total(),
-        extra=extra,
-        stop_reason=runtime.stop_reason if runtime is not None else None,
+    return run.result(
+        instance,
+        {
+            "num_fixed": plan.num_fixed,
+            "num_groups": len(run.groups),
+            "strategies_remaining": plan.strategies_remaining(),
+        },
     )
 
 

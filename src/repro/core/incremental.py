@@ -38,10 +38,12 @@ whole batch pays for exactly one::
     engine.resolve()
 
 The global table and the dirty frontier are still patched per mutation
-(those updates are O(k) / O(deg)), so correctness never depends on the
-deferred rebuild — only :meth:`resolve`, :meth:`current_value`,
-:meth:`seed_frontier` and :meth:`to_checkpoint` need fresh CSR arrays,
-and each flushes the pending rebuild on entry.
+(those updates are O(k) / O(deg)).  The exception is an α drift once
+the CSR is stale: it rescales every table entry, so its table build
+waits for the flush too, which rebuilds the CSR and then the table once
+for the whole batch.  :meth:`resolve`, :meth:`current_value`,
+:meth:`seed_frontier` and :meth:`to_checkpoint` need fresh CSR arrays
+and a fresh table, and each flushes the pending rebuilds on entry.
 
 Movement accounting
 -------------------
@@ -134,6 +136,7 @@ class IncrementalRMGP:
         self.migration_cost_total = 0.0
         self._batch_depth = 0
         self._adjacency_stale = False
+        self._table_stale = False
         if auto_resolve:
             self.resolve()
 
@@ -169,6 +172,19 @@ class IncrementalRMGP:
         if self._adjacency_stale:
             self.instance.rebuild_adjacency()
             self._adjacency_stale = False
+        if self._table_stale:
+            self._table_stale = False
+            self._rebuild_table()
+
+    def _rebuild_table(self) -> None:
+        """Rebuild the table for the current α from the fresh CSR arrays
+        and put every player left unhappy back on the frontier."""
+        inst = self.instance
+        inst.max_social_cost = (1.0 - inst.alpha) * inst.half_strength
+        self._table = build_global_table(inst, self.assignment)
+        self._active.mark(
+            np.flatnonzero(~happiness(self._table, self.assignment))
+        )
 
     # ------------------------------------------------------------------
     # Online updates
@@ -336,19 +352,23 @@ class IncrementalRMGP:
         no localized patch: the table is rebuilt from the (unchanged)
         CSR adjacency and every player left unhappy under the new
         trade-off re-enters the frontier.  O(|V|·k + |E|) — the same as
-        one RMGP_gt table build.
+        one RMGP_gt table build.  Inside a :meth:`batch` whose CSR is
+        already stale the rebuild is deferred to the batch's flush, so a
+        batch pays one CSR rebuild and one table build however many
+        drifts it holds (later patches to the stale table are harmless:
+        the rebuild reads the mutated graph and cost matrix).
         """
         alpha = float(alpha)
         if not 0.0 < alpha < 1.0:
             raise ConfigurationError(f"alpha must be in (0, 1), got {alpha}")
-        self._flush_adjacency()  # the table build reads the CSR arrays
-        inst = self.instance
-        inst.alpha = alpha
-        inst.max_social_cost = (1.0 - alpha) * inst.half_strength
-        self._table = build_global_table(inst, self.assignment)
-        self._active.mark(
-            np.flatnonzero(~happiness(self._table, self.assignment))
-        )
+        self.instance.alpha = alpha
+        if self._batch_depth and self._adjacency_stale:
+            # The table build reads the CSR arrays: inside a batch whose
+            # CSR is already stale, leave both to the batch's one flush.
+            self._table_stale = True
+        else:
+            self._flush_adjacency()
+            self._rebuild_table()
         rec = active_recorder(self._recorder)
         rec.event("set_alpha", alpha=alpha)
         rec.count("incremental.updates", 1, kind="alpha")
@@ -606,6 +626,7 @@ class IncrementalRMGP:
         engine.migration_cost_total = 0.0
         engine._batch_depth = 0
         engine._adjacency_stale = False
+        engine._table_stale = False
         return engine
 
     # ------------------------------------------------------------------

@@ -4,56 +4,37 @@ Players that share no edge cannot affect each other's best responses, so
 the players are grouped by a proper graph coloring and each color group
 is processed "simultaneously".  Processing a group concurrently is
 semantically identical to processing it sequentially (no two members are
-adjacent), so correctness and convergence are untouched; the benefit is
-wall-clock parallelism.
+adjacent), so correctness and convergence are untouched.
 
-CPython's GIL limits the real speedup of the thread pool, so results also
-report a *model* critical path — the per-round work under ideal ``T``-way
-parallelism, ``Σ_groups ceil(|G_i| / T)`` players — which is the quantity
-the paper's multi-threaded C++ implementation improves.  Benchmarks show
-both numbers.
+The rounds run on the batched color-group engine of
+:mod:`repro.core.vectorized` (:func:`~repro.core.vectorized.run_batched`):
+each group's dirty members are evaluated as one numpy computation, or on
+a :mod:`repro.parallel` backend with ``backend=``/``workers=``.  The
+result is RMGP_vec's trajectory; RMGP_is differs only in drawing its
+sweep order before the initial assignment, which keeps its RNG stream
+(and so its ``init="random"`` trajectories).
+
+Results also report a *model* critical path — the per-round work under
+ideal ``T``-way parallelism, ``Σ_groups ceil(|G_i| / T)`` players — which
+is the quantity the paper's multi-threaded C++ implementation improves.
+``threads`` sets that ``T`` and nothing else.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core import dynamics
 from repro.core.instance import RMGPInstance
-from repro.core.objective import player_strategy_costs, potential
-from repro.core.result import PartitionResult, RoundStats, make_result
+from repro.core.result import PartitionResult
+from repro.core.vectorized import draw_order, groups_from_coloring, run_batched
 from repro.errors import ConfigurationError
-from repro.graph.coloring import color_groups, greedy_coloring, is_proper_coloring
 from repro.obs.recorder import Recorder, active_recorder
-from repro.parallel.engine import make_engine
 from repro.runtime.budget import RuntimeBudget
-from repro.runtime.checkpoint import SolveCheckpoint, rounds_to_payload
-from repro.runtime.executor import SolveRuntime, load_resume
-
-
-def groups_from_coloring(
-    instance: RMGPInstance, coloring: Optional[Dict] = None
-) -> List[List[int]]:
-    """Translate a node coloring into index-space player groups.
-
-    ``coloring`` maps user ids to colors; when omitted, a greedy coloring
-    is computed (the paper computes the coloring off-line).
-    """
-    if coloring is None:
-        coloring = greedy_coloring(instance.graph)
-    elif not is_proper_coloring(instance.graph, coloring):
-        raise ConfigurationError("supplied coloring is not proper for this graph")
-    groups = color_groups(coloring)
-    return [
-        [instance.index_of[node] for node in group]
-        for group in groups
-        if group
-    ]
 
 
 def _solve_independent_sets(
@@ -78,11 +59,15 @@ def _solve_independent_sets(
 
     Parameters
     ----------
+    order:
+        Sweep order (``"degree"``/``"given"``/``"random"``).  Members of
+        a group are committed at once, so the order changes nothing but
+        the RNG draws: it is drawn before the initial assignment.
     threads:
-        Maximum simultaneously running threads ``T`` (Figure 4).  With
-        ``threads=1`` groups are processed sequentially — the result is
-        identical, only wall time differs.  GIL-bound; superseded by
-        ``backend=``/``workers=`` and mutually exclusive with them.
+        The ``T`` of the reported critical-path model
+        (``extra["threads"]``, ``extra["model_*"]``); it does not change
+        how the solve runs.  Mutually exclusive with
+        ``backend=``/``workers=``/``exact_scale=``.
     backend / workers:
         Parallel execution backend (``"pure"``/``"shm"``/``"numba"``)
         and shm worker count; see :mod:`repro.parallel`.  Assignments
@@ -107,232 +92,38 @@ def _solve_independent_sets(
             "backend=/workers=/exact_scale=; use workers= for real "
             "parallelism"
         )
-    rec = active_recorder(recorder)
     rng = random.Random(seed)
     clock = dynamics.RoundClock()
 
-    runtime = SolveRuntime.create(
+    def start() -> Tuple[List[List[int]], np.ndarray]:
+        groups = groups_from_coloring(instance, coloring)
+        draw_order(instance, order, rng)
+        return groups, dynamics.initial_assignment(
+            instance, init, rng, warm_start
+        )
+
+    run = run_batched(
+        instance, "RMGP_is", start, rng, clock, active_recorder(recorder),
+        max_rounds=max_rounds,
+        backend=backend,
+        workers=workers,
+        exact_scale=exact_scale,
         budget=budget,
         checkpoint_every=checkpoint_every,
         checkpoint_path=checkpoint_path,
-        recorder=rec,
+        resume_from=resume_from,
+        span_attrs={"threads": threads},
     )
-    restored = load_resume(resume_from, instance, "RMGP_is", rec)
-    with rec.span(
-        "solve", solver="RMGP_is", n=instance.n, k=instance.k, threads=threads
-    ):
-        if restored is not None:
-            # The coloring is checkpointed (a caller-supplied coloring or
-            # greedy tie-breaks need not be rebuilt identically).
-            groups = [
-                [int(p) for p in group]
-                for group in restored.state["groups"]
-            ]
-            assignment = restored.assignment
-            if restored.rng_state is not None:
-                rng.setstate(restored.rng_state)
-            rounds: List[RoundStats] = restored.restored_rounds()
-            round_index = restored.round_index
-        else:
-            with rec.span("round", round=0, phase="init") as init_span:
-                groups = groups_from_coloring(instance, coloring)
-                # Within each group keep the requested ordering
-                # (degree/random).
-                rank = {
-                    p: i
-                    for i, p in enumerate(
-                        dynamics.player_order(instance, order, rng)
-                    )
-                }
-                groups = [
-                    sorted(group, key=rank.__getitem__) for group in groups
-                ]
-                assignment = dynamics.initial_assignment(
-                    instance, init, rng, warm_start
-                )
-                if init_span is not None:
-                    init_span.attrs["num_groups"] = len(groups)
-            rounds = [
-                RoundStats(round_index=0, deviations=0, seconds=clock.lap())
-            ]
-            round_index = 0
-
-        executor = (
-            ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-        )
-        engine = None
-        if wants_engine:
-            engine, backend_info = make_engine(
-                instance,
-                backend=backend,
-                workers=workers,
-                recorder=rec,
-                exact_scale=exact_scale,
-                tol=dynamics.DEVIATION_TOLERANCE,
-            )
-        if restored is not None:
-            active = dynamics.ActiveSet(instance.n, dirty=restored.frontier)
-        else:
-            active = dynamics.ActiveSet(instance.n)
-
-        def make_checkpoint() -> SolveCheckpoint:
-            return SolveCheckpoint(
-                solver="RMGP_is",
-                round_index=round_index,
-                assignment=assignment.copy(),
-                frontier=active.flags.copy(),
-                rng_state=rng.getstate(),
-                rounds=rounds_to_payload(rounds),
-                state={"groups": [[int(p) for p in g] for g in groups]},
-                fingerprint=SolveCheckpoint.fingerprint_of(instance),
-            )
-
-        try:
-            converged = False
-            while not converged:
-                if runtime is not None and runtime.check(round_index + 1):
-                    break
-                round_index += 1
-                dynamics.check_round_budget(round_index, max_rounds, "RMGP_is")
-                deviations = 0
-                examined = 0
-                with rec.span("round", round=round_index) as round_span:
-                    for group in groups:
-                        # Only the dirty members of the group can possibly
-                        # move; clean members' best responses are provably
-                        # unchanged.
-                        pending = [p for p in group if active.flags[p]]
-                        if not pending:
-                            continue
-                        examined += len(pending)
-                        active.clear(pending)
-                        deviations += _process_group(
-                            instance, assignment, pending, executor, threads,
-                            active, engine,
-                        )
-                rec.round_end(
-                    round_span, "RMGP_is", round_index,
-                    deviations=deviations,
-                    examined=examined,
-                    cost_evaluations=examined * instance.k,
-                    frontier_fn=active.count,
-                    potential_fn=lambda: potential(instance, assignment),
-                )
-                rounds.append(
-                    RoundStats(
-                        round_index=round_index,
-                        deviations=deviations,
-                        seconds=clock.lap(),
-                        players_examined=examined,
-                    )
-                )
-                converged = deviations == 0
-                if runtime is not None and not converged:
-                    runtime.note_round(round_index, make_checkpoint)
-            if runtime is not None:
-                runtime.finalize(make_checkpoint)
-        finally:
-            if executor is not None:
-                executor.shutdown(wait=True)
-            if engine is not None:
-                engine.shutdown()
-
-    critical_path = sum(math.ceil(len(g) / threads) for g in groups)
+    critical_path = sum(math.ceil(len(g) / threads) for g in run.groups)
     extra = {
-        "num_groups": len(groups),
+        "num_groups": len(run.groups),
         "threads": threads,
         "model_players_per_round": critical_path,
         "sequential_players_per_round": instance.n,
         "model_speedup": (instance.n / critical_path) if critical_path else 1.0,
     }
-    if wants_engine:
-        extra.update(backend_info)
-    if not converged:
-        extra["remaining_frontier"] = active.count()
-    return make_result(
-        solver="RMGP_is",
-        instance=instance,
-        assignment=assignment,
-        rounds=rounds,
-        converged=converged,
-        wall_seconds=clock.total(),
-        extra=extra,
-        stop_reason=runtime.stop_reason if runtime is not None else None,
-    )
-
-
-def _process_group(
-    instance: RMGPInstance,
-    assignment: np.ndarray,
-    group: Sequence[int],
-    executor: Optional[ThreadPoolExecutor],
-    threads: int,
-    active: dynamics.ActiveSet,
-    engine=None,
-) -> int:
-    """Best responses for one color group's frontier; returns deviations.
-
-    Members are pairwise non-adjacent, so all best responses are computed
-    against the same effective context regardless of intra-group order;
-    writes are committed after computation, mirroring Figure 4's
-    "wait for all threads to finish".  Each committed move marks the
-    mover's CSR neighbor slice dirty for the following groups/rounds.
-
-    With an ``engine`` the same compute/commit split runs on the
-    parallel backend: the engine returns the group's deviating
-    ``(player, best)`` pairs in member order (chunks are merged in chunk
-    order), so the commit loop below is untouched.
-    """
-    if engine is not None:
-        players, bests = engine.scalar_moves(
-            assignment, np.asarray(group, dtype=np.int64)
-        )
-        moves = list(zip(players.tolist(), bests.tolist()))
-    elif executor is None or len(group) <= threads:
-        moves = _chunk_best_classes(instance, assignment, group)
-    else:
-        chunk = math.ceil(len(group) / threads)
-        chunks = [group[i : i + chunk] for i in range(0, len(group), chunk)]
-        futures = [
-            executor.submit(_chunk_best_classes, instance, assignment, c)
-            for c in chunks
-        ]
-        moves = []
-        for future in futures:
-            moves.extend(future.result())
-    deviations = 0
-    for player, best in moves:
-        assignment[player] = best
-        active.mark(instance.neighbor_indices[player])
-        deviations += 1
-    return deviations
-
-
-def _chunk_best_classes(
-    instance: RMGPInstance, assignment: np.ndarray, players: Sequence[int]
-) -> List[tuple]:
-    """Deviating (player, best class) pairs for non-adjacent players.
-
-    Safe to run concurrently with other chunks of the same group: no
-    member reads another member's strategy (they are non-adjacent), and
-    writes happen only after every chunk finishes.
-    """
-    moves = []
-    for player in players:
-        best = _best_class(instance, assignment, player)
-        if best != int(assignment[player]):
-            moves.append((player, best))
-    return moves
-
-
-def _best_class(instance: RMGPInstance, assignment: np.ndarray, player: int) -> int:
-    """Best-response class with the standard tie-keeps-current rule."""
-    costs = player_strategy_costs(instance, assignment, player)
-    current = int(assignment[player])
-    best = int(costs.argmin())
-    if costs[best] < costs[current] - dynamics.DEVIATION_TOLERANCE:
-        return best
-    return current
+    extra.update(run.backend_info)
+    return run.result(instance, extra)
 
 
 # Legacy entry point(s), consolidated in repro.compat (removal: 2.0).

@@ -6,26 +6,35 @@ any strategy he could ever follow:
     VR_v = c(v, s_min) + ((1 − α)/α) · W_v
 
 where ``s_min`` is his cheapest class and ``W_v = Σ_f ½·w(v, f)``.  Any
-
-
 class whose assignment cost exceeds ``VR_v`` can never beat ``s_min``
 even if *all* friends joined it, so it is pruned from ``S_v``.  A player
 left with a single valid strategy is assigned directly and removed from
 the game.  Best responses are never pruned, so convergence and quality
 guarantees carry over unchanged.
+
+The plan is one pass over the dense cost matrix (a row minimum, the
+bound, an ``n x k`` validity mask).  Rounds follow RMGP_b's sequential
+frontier schedule (:func:`repro.core.baseline.best_response_round`) on a
+base cost matrix whose pruned entries are ``+inf``.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from functools import cached_property
+from typing import List, Optional
 
 import numpy as np
 
 from repro.core import dynamics
+from repro.core.baseline import best_response_round
 from repro.core.instance import RMGPInstance
-from repro.core.objective import potential
+from repro.core.objective import (
+    potential,
+    strategy_cost_base,
+    strategy_refunds,
+)
 from repro.core.result import PartitionResult, RoundStats, make_result
 from repro.obs.recorder import Recorder, active_recorder
 from repro.runtime.budget import RuntimeBudget
@@ -34,24 +43,30 @@ from repro.runtime.executor import SolveRuntime, load_resume
 
 
 @dataclass
-
-
 class EliminationPlan:
     """Pre-computed reduced strategy spaces for one instance.
 
     Attributes
     ----------
-    valid_classes:
-        Per player, a sorted int array of the classes in ``S'_v``.
+    valid:
+        ``n x k`` boolean mask of ``S'_v`` (row ``v``, column ``p``).
     fixed_class:
         Per player, the forced class when ``|S'_v| == 1``, else ``-1``.
     valid_regions:
         The ``VR_v`` bound per player.
     """
 
-    valid_classes: List[np.ndarray]
+    valid: np.ndarray
     fixed_class: np.ndarray
     valid_regions: np.ndarray
+
+    @cached_property
+    def valid_classes(self) -> List[np.ndarray]:
+        """Per player, a sorted int array of the classes in ``S'_v``."""
+        if not len(self.valid):
+            return []
+        _, classes = np.nonzero(self.valid)
+        return np.split(classes, np.cumsum(self.valid.sum(axis=1))[:-1])
 
     @property
     def num_fixed(self) -> int:
@@ -60,27 +75,20 @@ class EliminationPlan:
 
     def strategies_remaining(self) -> int:
         """Total size of all reduced strategy spaces."""
-        return int(sum(len(v) for v in self.valid_classes))
+        return int(self.valid.sum())
 
 
 def build_elimination_plan(instance: RMGPInstance) -> EliminationPlan:
     """Compute ``VR_v`` and ``S'_v`` for every player (initialization step)."""
     alpha = instance.alpha
     ratio = (1.0 - alpha) / alpha
-    valid_classes: List[np.ndarray] = []
-    fixed = np.full(instance.n, -1, dtype=np.int64)
-    regions = np.empty(instance.n, dtype=np.float64)
-    for player in range(instance.n):
-        row = instance.cost.row(player)
-        bound = row.min() + ratio * instance.half_strength[player]
-        regions[player] = bound
-        # Keep classes whose best case (all friends co-located) can still
-        # match the worst case of the cheapest class.
-        valid = np.flatnonzero(row <= bound + dynamics.DEVIATION_TOLERANCE)
-        valid_classes.append(valid)
-        if len(valid) == 1:
-            fixed[player] = int(valid[0])
-    return EliminationPlan(valid_classes, fixed, regions)
+    costs = instance.cost.dense()
+    regions = costs.min(axis=1) + ratio * instance.half_strength
+    # Keep classes whose best case (all friends co-located) can still
+    # match the worst case of the cheapest class.
+    valid = costs <= (regions + dynamics.DEVIATION_TOLERANCE)[:, None]
+    fixed = np.where(valid.sum(axis=1) == 1, valid.argmax(axis=1), -1)
+    return EliminationPlan(valid, fixed.astype(np.int64), regions)
 
 
 def _solve_strategy_elimination(
@@ -118,10 +126,15 @@ def _solve_strategy_elimination(
     )
     restored = load_resume(resume_from, instance, "RMGP_se", rec)
     with rec.span("solve", solver="RMGP_se", n=instance.n, k=instance.k):
-        if restored is not None:
-            if plan is None:
+        if plan is None:
+            with rec.span("build_plan"):
                 plan = build_elimination_plan(instance)
-            fixed_mask = plan.fixed_class >= 0
+        # Fixed players are assigned immediately and leave the game.
+        fixed_mask = plan.fixed_class >= 0
+        base = strategy_cost_base(instance)
+        base[~plan.valid] = np.inf
+        refunds = strategy_refunds(instance)
+        if restored is not None:
             assignment = restored.assignment
             sweep = [int(p) for p in restored.state["sweep"]]
             active = dynamics.ActiveSet(instance.n, dirty=restored.frontier)
@@ -131,14 +144,9 @@ def _solve_strategy_elimination(
             round_index = restored.round_index
         else:
             with rec.span("round", round=0, phase="init") as init_span:
-                if plan is None:
-                    with rec.span("build_plan"):
-                        plan = build_elimination_plan(instance)
                 assignment = dynamics.initial_assignment(
                     instance, init, rng, warm_start
                 )
-                # Fixed players are assigned immediately and leave the game.
-                fixed_mask = plan.fixed_class >= 0
                 assignment[fixed_mask] = plan.fixed_class[fixed_mask]
                 sweep = [
                     p
@@ -177,8 +185,9 @@ def _solve_strategy_elimination(
             round_index += 1
             dynamics.check_round_budget(round_index, max_rounds, "RMGP_se")
             with rec.span("round", round=round_index) as round_span:
-                deviations, examined = _reduced_round(
-                    instance, assignment, sweep, plan, active, fixed_mask
+                deviations, examined = best_response_round(
+                    instance, assignment, sweep, active, base, refunds,
+                    fixed_mask,
                 )
             rec.round_end(
                 round_span, "RMGP_se", round_index,
@@ -223,53 +232,6 @@ def _solve_strategy_elimination(
         extra=extra,
         stop_reason=runtime.stop_reason if runtime is not None else None,
     )
-
-
-def _reduced_round(
-    instance: RMGPInstance,
-    assignment: np.ndarray,
-    sweep: List[int],
-    plan: EliminationPlan,
-    active: dynamics.ActiveSet,
-    fixed_mask: np.ndarray,
-) -> Tuple[int, int]:
-    """One frontier round restricted to each player's ``S'_v``.
-
-    Only dirty free players are examined; a mover marks his (free) CSR
-    neighbors dirty, so ``players_examined`` reports the true work done
-    rather than assuming a full sweep.  Returns ``(deviations, examined)``.
-    """
-    deviations = 0
-    examined = 0
-    alpha = instance.alpha
-    tol = dynamics.DEVIATION_TOLERANCE
-    flags = active.flags
-    scratch = np.empty(instance.k, dtype=np.float64)
-    for player in sweep:
-        if not flags[player]:
-            continue
-        flags[player] = False
-        examined += 1
-        valid = plan.valid_classes[player]
-        scratch.fill(np.inf)
-        scratch[valid] = (
-            alpha * instance.cost.row(player)[valid]
-            + instance.max_social_cost[player]
-        )
-        idx = instance.neighbor_indices[player]
-        if idx.size:
-            refund = (1.0 - alpha) * 0.5 * instance.neighbor_weights[player]
-            # Refunds on pruned classes land on +inf and stay invalid.
-            np.subtract.at(scratch, assignment[idx], refund)
-        current = int(assignment[player])
-        best = int(scratch.argmin())
-        if best != current and scratch[best] < scratch[current] - tol:
-            assignment[player] = best
-            deviations += 1
-            if idx.size:
-                # Mark free neighbors dirty; fixed ones stay clean.
-                flags[idx] = ~fixed_mask[idx]
-    return deviations, examined
 
 
 # Legacy entry point(s), consolidated in repro.compat (removal: 2.0).

@@ -9,18 +9,30 @@ from repro.core import (
     player_strategy_costs,
     solve_all,
 )
-from repro.core.combined import build_pruned_table
+from repro.core.vectorized import _build_batches, batch_costs
 from repro.graph import greedy_coloring
 
 from tests.core.conftest import random_instance
 
 
+def pruned_costs(instance, plan, assignment):
+    """RMGP_all's batch costs for every player (row ``v`` is player ``v``).
+
+    One batch over all players: the cost rows do not need the members
+    to be independent, only the atomic commit does.
+    """
+    (batch,) = _build_batches(instance, [list(range(instance.n))], plan.valid)
+    return batch_costs(batch, assignment, instance.k)
+
+
 class TestPrunedTable:
+    """The pruned batch base costs RMGP_all hands the batched engine."""
+
     def test_valid_entries_match_strategy_costs(self, instance):
         plan = build_elimination_plan(instance)
         rng = np.random.default_rng(0)
         assignment = rng.integers(0, instance.k, instance.n)
-        table = build_pruned_table(instance, assignment, plan)
+        table = pruned_costs(instance, plan, assignment)
         for player in range(instance.n):
             costs = player_strategy_costs(instance, assignment, player)
             for klass in plan.valid_classes[player]:
@@ -29,7 +41,7 @@ class TestPrunedTable:
     def test_pruned_entries_are_inf(self, instance):
         plan = build_elimination_plan(instance)
         assignment = np.zeros(instance.n, dtype=np.int64)
-        table = build_pruned_table(instance, assignment, plan)
+        table = pruned_costs(instance, plan, assignment)
         for player in range(instance.n):
             valid = set(plan.valid_classes[player].tolist())
             for klass in range(instance.k):

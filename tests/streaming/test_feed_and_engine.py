@@ -15,14 +15,18 @@ from repro.core.equilibrium import equilibrium_report
 from repro.core.incremental import IncrementalRMGP
 from repro.errors import ConfigurationError, DataError
 from repro.streaming import (
+    DIFFERENTIAL_COST_RATIO,
     AddEdge,
     AddVertex,
+    AlphaDrift,
     MutationFeed,
     RemoveVertex,
     UpdateCostRow,
     apply_mutations,
+    differential_check,
     random_mutation_stream,
 )
+from repro.streaming.harness import EQUILIBRIUM_ATOL
 
 from tests.streaming.conftest import as_batches, er_instance
 
@@ -162,6 +166,45 @@ class TestEngineChurnEdgeCases:
         # ...and flushed exactly once at batch exit.
         assert not engine._adjacency_stale
         assert int(engine.instance.indptr[-1]) == slots_before + 2
+
+    def test_alpha_drifts_share_the_batch_rebuild(self, monkeypatch):
+        """α drifts between structural mutations leave the CSR and the
+        table to the batch's single flush; the resolve still lands on an
+        equilibrium of the mutated instance."""
+        base = er_instance(seed=5)
+        nodes = list(base.node_ids)
+        batch = [
+            RemoveVertex(nodes[4]),
+            AlphaDrift(0.3),
+            AddEdge(nodes[0], nodes[9], 2.0),
+            UpdateCostRow(nodes[1], (0.9, 0.2, 0.5, 0.4)),
+            AlphaDrift(0.7),
+            AddVertex("late", (0.3, 0.6, 0.2, 0.8), edges=((nodes[2], 1.0),)),
+        ]
+        engine = IncrementalRMGP(apply_mutations(base, []), seed=5)
+        rebuilds = []
+        rebuild = engine.instance.rebuild_adjacency
+
+        def counted(*args):
+            rebuilds.append(args)
+            rebuild(*args)
+
+        monkeypatch.setattr(engine.instance, "rebuild_adjacency", counted)
+        result, _ = MutationFeed(engine).apply(batch)
+        assert len(rebuilds) == 1
+        assert result.converged
+        mutated = apply_mutations(base, batch)
+        assert engine.instance.alpha == mutated.alpha == 0.7
+        labels = engine.instance.assignment_to_labels(engine.assignment)
+        report = equilibrium_report(
+            mutated, mutated.labels_to_assignment(labels),
+            tolerance=EQUILIBRIUM_ATOL,
+        )
+        assert report.is_equilibrium, str(report)
+        differential = differential_check(
+            base, [batch], cost_ratio=DIFFERENTIAL_COST_RATIO
+        )
+        assert differential.ok, str(differential)
 
     def test_mutations_after_checkpoint_fail_fingerprint(self):
         """The documented ordering: restore first, replay mutations
