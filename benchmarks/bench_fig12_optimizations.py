@@ -63,13 +63,13 @@ def test_fig12_all_speed(benchmark, fig12_instance):
 def test_fig12a_table(benchmark, emit):
     table = benchmark.pedantic(lambda: run_fig12_vs_k(seed=0), rounds=1, iterations=1)
     emit(table)
-    # The paper's headline: gt is the best single optimization at every
-    # k.  RMGP_all pays fixed round-0 overheads (coloring, valid regions,
-    # batch construction) that only amortize once k/|V| grow, so it is asserted
-    # at the sweep's largest k (and beats the baseline at every k at
-    # paper scale — see benchmarks/results/full/).
-    for row in table.rows:
-        assert row["RMGP_gt_ms"] < row["RMGP_b+i+o_ms"], row
+    # The paper's headline is that gt is the best single optimization.
+    # Here b+i+o runs the sequential table engine under gt's defaults
+    # (the same trajectory, pinned in tests/core/test_preset_identity.py),
+    # so the two columns time one computation and are not compared.
+    # RMGP_all pays fixed round-0 overheads (coloring, valid regions,
+    # batch construction) that only amortize once k/|V| grow, so it is
+    # asserted at the sweep's largest k at paper scale.
     if full_scale():
         largest = max(table.rows, key=lambda r: r["k"])
         assert largest["RMGP_all_ms"] < largest["RMGP_b+i+o_ms"], largest

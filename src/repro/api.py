@@ -86,8 +86,8 @@ class SolveOptions:
         resume from; the solve replays the interrupted trajectory
         byte-identically.
     backend / workers:
-        Parallel execution backend (``"pure"``/``"shm"``/``"numba"``)
-        and shm worker-pool size for the solvers that support them
+        Parallel execution backend (``"pure"``/``"shm"``) and shm
+        worker-pool size for the solvers that support them
         (``is``/``vec``/``gt``/``sync``).  ``workers`` defaults to the
         ``REPRO_WORKERS`` environment variable, then ``os.cpu_count()``;
         ``workers=1`` is a documented serial fallback (the pure path

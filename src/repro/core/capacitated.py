@@ -130,7 +130,10 @@ def _solve_capacitated(
         checkpoint_path=checkpoint_path,
         recorder=rec,
     )
-    restored = load_resume(resume_from, instance, _checkpoint_solver, rec)
+    restored = load_resume(
+        resume_from, instance, _checkpoint_solver, rec,
+        state_keys=("capacities", "sweep"),
+    )
     with rec.span("solve", solver="RMGP_cap", n=instance.n, k=instance.k):
         if restored is not None:
             stored_caps = np.asarray(
@@ -286,7 +289,12 @@ def _solve_with_minimums(
 
     rec = active_recorder(recorder)
     loop_clock = dynamics.RoundClock()
-    restored = load_resume(resume_from, instance, "RMGP_minpart", rec)
+    restored = load_resume(
+        resume_from, instance, "RMGP_minpart", rec,
+        state_keys=(
+            "minpart_active", "minpart_canceled", "minpart_rounds_total"
+        ),
+    )
     if restored is not None:
         active = np.asarray(
             restored.state["minpart_active"], dtype=bool

@@ -607,8 +607,10 @@ class IncrementalRMGP:
         accounting restarts from zero — migration totals are a property
         of one engine lifetime, not of the solve trajectory.
         """
-        restored = load_resume(checkpoint, instance, "RMGP_incremental",
-                               recorder)
+        restored = load_resume(
+            checkpoint, instance, "RMGP_incremental", recorder,
+            state_keys=("cost_matrix", "table", "resolve_count"),
+        )
         if restored is None:
             raise ConfigurationError("from_checkpoint() requires a checkpoint")
         engine = cls.__new__(cls)

@@ -69,8 +69,8 @@ def _solve_independent_sets(
         how the solve runs.  Mutually exclusive with
         ``backend=``/``workers=``/``exact_scale=``.
     backend / workers:
-        Parallel execution backend (``"pure"``/``"shm"``/``"numba"``)
-        and shm worker count; see :mod:`repro.parallel`.  Assignments
+        Parallel execution backend (``"pure"``/``"shm"``) and shm
+        worker count; see :mod:`repro.parallel`.  Assignments
         stay byte-identical to the pure path for every backend.
     exact_scale:
         When set, best responses use Lemma 2 integer fixed-point

@@ -117,18 +117,12 @@ def strategy_cost_base(instance: RMGPInstance) -> np.ndarray:
     """The refund-free strategy costs ``α·C + maxSC[:, None]`` (``n x k``).
 
     Row ``v`` is where :func:`player_strategy_costs` starts before the
-    friend refunds, computed with the same elementwise arithmetic, so a
-    sequential solver can copy a row and subtract the refunds
-    (:func:`strategy_refunds`) to get bit-identical costs.
+    friend refunds, computed with the same elementwise arithmetic; the
+    global table and the batched engines subtract the refunds from it.
     """
     base = instance.alpha * instance.cost.dense()
     base += instance.max_social_cost[:, None]
     return base
-
-
-def strategy_refunds(instance: RMGPInstance) -> np.ndarray:
-    """Per CSR slot, the refund ``(1 − α)·½·w`` the friend's class earns."""
-    return (1.0 - instance.alpha) * 0.5 * instance.weights
 
 
 def player_strategy_costs(

@@ -73,7 +73,10 @@ def _solve_max_gain(
         checkpoint_path=checkpoint_path,
         recorder=rec,
     )
-    restored = load_resume(resume_from, instance, "RMGP_mg", rec)
+    restored = load_resume(
+        resume_from, instance, "RMGP_mg", rec,
+        state_keys=("table", "heap_keys", "heap_players", "moves"),
+    )
     with rec.span("solve", solver="RMGP_mg", n=instance.n, k=instance.k):
         if max_moves is None:
             max_moves = max(1000, instance.n * instance.k * 1000)

@@ -83,7 +83,13 @@ def _solve_simultaneous(
         checkpoint_path=checkpoint_path,
         recorder=rec,
     )
-    restored = load_resume(resume_from, instance, "RMGP_sync", rec)
+    restored = load_resume(
+        resume_from, instance, "RMGP_sync", rec,
+        state_keys=(
+            "seen", "potential_increases", "last_potential",
+            "best_assignment", "best_potential",
+        ),
+    )
     engine = None
     backend_info = {}
     if backend is not None or workers is not None:

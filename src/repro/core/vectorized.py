@@ -329,7 +329,9 @@ def run_batched(
     wants_engine = (
         backend is not None or workers is not None or exact_scale is not None
     )
-    restored = load_resume(resume_from, instance, solver, rec)
+    restored = load_resume(
+        resume_from, instance, solver, rec, state_keys=("groups",)
+    )
     engine = None
     backend_info: Dict = {}
     if wants_engine:

@@ -6,7 +6,7 @@ parallel*; CPython's GIL starves the thread pool of
 concurrency instead:
 
 * :mod:`repro.parallel.backend` — the ``backend=`` / ``workers=`` knob
-  resolution (``pure`` / ``shm`` / ``numba``, ``REPRO_WORKERS``).
+  resolution (``pure`` / ``shm``, ``REPRO_WORKERS``).
 * :mod:`repro.parallel.shm` — shared-memory segment lifecycle: the
   instance's CSR arrays, dense costs and the strategy vector are mapped
   once per solve; ``close()``/``unlink()`` run in ``finally`` and an
@@ -15,7 +15,7 @@ concurrency instead:
   color classes are fanned out to.
 * :mod:`repro.parallel.kernels` — the chunk kernels themselves, in
   float (byte-identical to each solver's pure path) and Lemma 2
-  integer-scaled exact variants, plus numba-jittable loop forms.
+  integer-scaled exact variants.
 * :mod:`repro.parallel.engine` — dispatch: solvers ask
   :func:`make_engine` for an execution engine and stay agnostic of
   which backend runs underneath.
@@ -29,7 +29,6 @@ the argument.
 from repro.parallel.backend import (
     KNOWN_BACKENDS,
     ResolvedBackend,
-    numba_available,
     resolve_backend,
     resolve_workers,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "exact_payload",
     "live_segment_names",
     "make_engine",
-    "numba_available",
     "resolve_backend",
     "resolve_workers",
 ]

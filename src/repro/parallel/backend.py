@@ -1,6 +1,6 @@
 """Backend/worker knob resolution for the parallel execution engines.
 
-Three backends share the solver surface (see ``core/registry.py``):
+Two backends share the solver surface (see ``core/registry.py``):
 
 ``pure``
     The existing single-process numpy kernels. Always available; the
@@ -10,10 +10,6 @@ Three backends share the solver surface (see ``core/registry.py``):
     (:mod:`repro.parallel.engine`). Requires ``workers >= 2`` to do
     anything useful; ``workers=1`` is the documented serial fallback —
     the solve runs the pure path and records why.
-``numba``
-    Jitted loop kernels. numba is an *optional* dependency: when it is
-    not importable the request degrades gracefully to ``pure`` and the
-    fallback reason is surfaced in ``PartitionResult.extra``.
 
 Worker-count resolution order: explicit ``workers=`` argument, then the
 ``REPRO_WORKERS`` environment variable, then ``os.cpu_count()``.
@@ -31,19 +27,9 @@ from typing import Optional
 
 from repro.errors import ConfigurationError
 
-KNOWN_BACKENDS = ("pure", "shm", "numba")
+KNOWN_BACKENDS = ("pure", "shm")
 
 WORKERS_ENV = "REPRO_WORKERS"
-
-
-def numba_available() -> bool:
-    """Return True when numba can be imported in this interpreter."""
-
-    try:
-        import numba  # noqa: F401
-    except Exception:  # pragma: no cover - depends on environment
-        return False
-    return True
 
 
 def _validate_workers(workers: int, source: str) -> int:
@@ -129,11 +115,4 @@ def resolve_backend(
                 reason="workers=1: serial fallback (no pool is cheaper)",
             )
         return ResolvedBackend(requested="shm", effective="shm", workers=count)
-    if requested == "numba" and not numba_available():
-        return ResolvedBackend(
-            requested="numba",
-            effective="pure",
-            workers=1,
-            reason="numba is not importable; running pure kernels",
-        )
     return ResolvedBackend(requested=requested, effective=requested, workers=1)

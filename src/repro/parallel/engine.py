@@ -8,9 +8,8 @@ Solvers call :func:`make_engine` with the user's ``backend=`` /
 * :class:`ShmEngine` — the shared-memory worker pool: arrays are mapped
   once, each call copies only the strategy vector into the segment and
   fans member chunks out to the persistent workers;
-* :class:`LocalEngine` — in-process kernels: jitted loops for the
-  ``numba`` backend, or the Lemma 2 integer-exact kernels when
-  ``exact_scale`` is set on the ``pure`` backend.
+* :class:`LocalEngine` — the in-process Lemma 2 integer-exact kernels,
+  when ``exact_scale`` is set on the ``pure`` backend.
 
 ``info`` is a plain dict for ``PartitionResult.extra`` recording what
 was requested, what actually ran, the worker count, and any fallback
@@ -47,72 +46,31 @@ WORKER_SPAN = "worker.compute"
 
 
 class LocalEngine:
-    """In-process engine: jitted loop kernels and/or integer-exact math."""
+    """In-process Lemma 2 integer-exact engine (``exact_scale`` on ``pure``)."""
+
+    kind = "exact"
 
     def __init__(
-        self,
-        instance: RMGPInstance,
-        kind: str,
-        exact: Optional[kernels.ExactPayload] = None,
-        tol: float = DEVIATION_TOLERANCE,
+        self, instance: RMGPInstance, exact: kernels.ExactPayload
     ) -> None:
-        self.kind = kind  # "numba" or "exact"
         self.exact = exact
-        self.tol = tol
         self._indptr = instance.indptr
         self._indices = instance.indices
         self._k = instance.k
-        self._ka = kernels.kernel_arrays(instance) if exact is None else None
-
-    def scalar_moves(self, assignment, members) -> Tuple[np.ndarray, np.ndarray]:
-        members = np.ascontiguousarray(members, dtype=np.int64)
-        if members.size == 0:
-            return _EMPTY, _EMPTY
-        if self.exact is not None:
-            if kernels.HAVE_NUMBA:  # pragma: no cover - env dependent
-                return kernels.exact_scalar_moves_loop(
-                    self._indptr, self._indices, self.exact.int_cost,
-                    self.exact.int_maxsc, self.exact.int_refund, assignment,
-                    members,
-                )
-            # int64 accumulation is associative: the batched form yields
-            # the same integers as the scalar form, only faster.
-            return kernels.exact_batched_moves(
-                self._indptr, self._indices, self.exact.int_cost,
-                self.exact.int_maxsc, self.exact.int_refund, assignment,
-                members, self._k,
-            )
-        ka = self._ka
-        return kernels.scalar_moves_loop(
-            ka.indptr, ka.indices, ka.scaled_dense, ka.maxsc, ka.refunds,
-            assignment, members, self.tol,
-        )
 
     def batched_moves(self, assignment, members) -> Tuple[np.ndarray, np.ndarray]:
         members = np.ascontiguousarray(members, dtype=np.int64)
         if members.size == 0:
             return _EMPTY, _EMPTY
-        if self.exact is not None:
-            return kernels.exact_batched_moves(
-                self._indptr, self._indices, self.exact.int_cost,
-                self.exact.int_maxsc, self.exact.int_refund, assignment,
-                members, self._k,
-            )
-        ka = self._ka
-        return kernels.batched_moves_loop(
-            ka.indptr, ka.indices, ka.scaled_dense, ka.maxsc, ka.refunds,
-            assignment, members, self.tol,
+        return kernels.exact_batched_moves(
+            self._indptr, self._indices, self.exact.int_cost,
+            self.exact.int_maxsc, self.exact.int_refund, assignment,
+            members, self._k,
         )
 
-    def table_sweep(self, table, assignment, flags, sweep) -> Tuple[int, int]:
-        """RMGP_gt inner sweep via the (jitted) loop kernel."""
-
-        ka = self._ka
-        deviations, examined = kernels.table_sweep_loop(
-            table, assignment, flags, sweep, ka.indptr, ka.indices,
-            ka.refunds, self.tol,
-        )
-        return int(deviations), int(examined)
+    # int64 accumulation is associative: the batched form yields the
+    # same integers as the per-player scalar form, only faster.
+    scalar_moves = batched_moves
 
     def shutdown(self) -> None:
         """Nothing to release — symmetric with :class:`ShmEngine`."""
@@ -313,10 +271,8 @@ def make_engine(
             with_table=with_table,
             tol=tol,
         )
-    elif resolved.effective == "numba":  # pragma: no cover - env dependent
-        engine = LocalEngine(instance, kind="numba", exact=payload, tol=tol)
     elif payload is not None:
-        engine = LocalEngine(instance, kind="exact", exact=payload, tol=tol)
+        engine = LocalEngine(instance, payload)
     else:
         engine = None
     return engine, info

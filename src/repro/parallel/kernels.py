@@ -1,22 +1,13 @@
 """Best-response chunk kernels shared by every parallel backend.
 
-Each kernel exists in up to three forms that are *proven interchangeable*
-by the conformance suite:
+Each kernel exists in one of two arithmetic forms:
 
-* a numpy form (used by the shm workers and the in-process engines) that
-  replicates, operation for operation, the arithmetic of the matching
-  pure solver path — ``player_strategy_costs`` for the scalar kernels,
+* a float numpy form (used by the shm workers) that replicates,
+  operation for operation, the arithmetic of the matching pure solver
+  path — ``player_strategy_costs`` for the scalar kernel,
   ``_batch_frontier_round`` for the batched kernel,
-  ``build_global_table``/``table_round`` for the table kernels — so the
-  produced floats are byte-identical to the pure path;
-* a loop form written in numba-compatible Python.  When numba is
-  importable the loop is jitted at import time; when it is not, the
-  plain-Python function remains (slow but testable), and the ``numba``
-  backend falls back to ``pure`` anyway.  The loop forms reproduce the
-  numpy forms' accumulation *order* (sequential ``subtract.at`` order
-  for the scalar kernel, per-key bincount order for the batched/table
-  kernels), which is what makes them byte-identical rather than merely
-  close;
+  ``build_global_table`` for the table rows — so the produced floats are
+  byte-identical to the pure path;
 * a Lemma 2 integer-scaled exact form: costs are quantized once to
   ``int64`` fixed point (``exact_payload``), after which accumulation is
   associative and *no* ordering — thread, process, or vector — can
@@ -39,21 +30,6 @@ import numpy as np
 
 from repro.core.instance import RMGPInstance, concat_ranges
 from repro.errors import ConfigurationError
-
-try:  # numba is optional; the loop kernels below work without it
-    from numba import njit as _njit
-
-    HAVE_NUMBA = True
-except Exception:  # pragma: no cover - depends on environment
-    HAVE_NUMBA = False
-    _njit = None
-
-
-def _maybe_jit(fn):
-    if HAVE_NUMBA:  # pragma: no cover - numba absent in CI baseline
-        return _njit(cache=True)(fn)
-    return fn
-
 
 # ---------------------------------------------------------------------------
 # Shared float arrays
@@ -215,115 +191,6 @@ def table_rows(
 
 
 # ---------------------------------------------------------------------------
-# Float kernels — numba-compatible loop forms
-# ---------------------------------------------------------------------------
-
-
-def _scalar_moves_loop(
-    indptr, indices, scaled_dense, maxsc, refunds, assignment, members, tol
-):
-    k = scaled_dense.shape[1]
-    out_players = np.empty(members.size, np.int64)
-    out_bests = np.empty(members.size, np.int64)
-    costs = np.empty(k, np.float64)
-    m = 0
-    for i in range(members.size):
-        v = members[i]
-        for j in range(k):
-            costs[j] = scaled_dense[v, j] + maxsc[v]
-        for s in range(indptr[v], indptr[v + 1]):
-            costs[assignment[indices[s]]] -= refunds[s]
-        best = 0
-        best_cost = costs[0]
-        for j in range(1, k):
-            if costs[j] < best_cost:
-                best_cost = costs[j]
-                best = j
-        current = assignment[v]
-        if best_cost < costs[current] - tol:
-            out_players[m] = v
-            out_bests[m] = best
-            m += 1
-    return out_players[:m], out_bests[:m]
-
-
-def _batched_moves_loop(
-    indptr, indices, scaled_dense, maxsc, refunds, assignment, members, tol
-):
-    # Matches the bincount form: refunds are *summed per class first*
-    # (in CSR slot order, like bincount) and subtracted once, not
-    # subtracted one by one — sequential subtraction would round
-    # differently in the last ulp.
-    k = scaled_dense.shape[1]
-    out_players = np.empty(members.size, np.int64)
-    out_bests = np.empty(members.size, np.int64)
-    acc = np.empty(k, np.float64)
-    costs = np.empty(k, np.float64)
-    m = 0
-    for i in range(members.size):
-        v = members[i]
-        for j in range(k):
-            acc[j] = 0.0
-        for s in range(indptr[v], indptr[v + 1]):
-            acc[assignment[indices[s]]] += refunds[s]
-        for j in range(k):
-            costs[j] = (scaled_dense[v, j] + maxsc[v]) - acc[j]
-        best = 0
-        best_cost = costs[0]
-        for j in range(1, k):
-            if costs[j] < best_cost:
-                best_cost = costs[j]
-                best = j
-        current = assignment[v]
-        if best != current and best_cost < costs[current] - tol:
-            out_players[m] = v
-            out_bests[m] = best
-            m += 1
-    return out_players[:m], out_bests[:m]
-
-
-def _table_sweep_loop(
-    table, assignment, flags, sweep, indptr, indices, refunds, tol
-):
-    # The RMGP_gt inner loop (table_round), loop for loop: examine dirty
-    # players in sweep order, deviate on strict improvement, push ±½·w
-    # to each friend's two affected entries (refunds[s] is bitwise equal
-    # to ((1−α)·0.5)·w — same real product, single rounding).
-    deviations = 0
-    examined = 0
-    k = table.shape[1]
-    for i in range(sweep.size):
-        player = sweep[i]
-        if not flags[player]:
-            continue
-        flags[player] = False
-        examined += 1
-        current = assignment[player]
-        best = 0
-        best_cost = table[player, 0]
-        for j in range(1, k):
-            if table[player, j] < best_cost:
-                best_cost = table[player, j]
-                best = j
-        if best_cost >= table[player, current] - tol:
-            continue
-        assignment[player] = best
-        deviations += 1
-        for s in range(indptr[player], indptr[player + 1]):
-            friend = indices[s]
-            delta = refunds[s]
-            table[friend, best] -= delta
-            table[friend, current] += delta
-            flags[friend] = True
-    return deviations, examined
-
-
-scalar_moves_loop = _maybe_jit(_scalar_moves_loop)
-batched_moves_loop = _maybe_jit(_batched_moves_loop)
-table_sweep_loop = _maybe_jit(_table_sweep_loop)
-
-
-# ---------------------------------------------------------------------------
 # Lemma 2 integer scaling — exact fixed-point kernels
 # ---------------------------------------------------------------------------
 
@@ -431,34 +298,3 @@ def exact_batched_moves(
     best = costs.argmin(axis=1)
     improves = (costs[rows, best] < costs[rows, current]) & (best != current)
     return members[improves], best[improves]
-
-
-def _exact_scalar_moves_loop(
-    indptr, indices, int_cost, int_maxsc, int_refund, assignment, members
-):
-    k = int_cost.shape[1]
-    out_players = np.empty(members.size, np.int64)
-    out_bests = np.empty(members.size, np.int64)
-    costs = np.empty(k, np.int64)
-    m = 0
-    for i in range(members.size):
-        v = members[i]
-        for j in range(k):
-            costs[j] = int_cost[v, j] + int_maxsc[v]
-        for s in range(indptr[v], indptr[v + 1]):
-            costs[assignment[indices[s]]] -= int_refund[s]
-        best = 0
-        best_cost = costs[0]
-        for j in range(1, k):
-            if costs[j] < best_cost:
-                best_cost = costs[j]
-                best = j
-        current = assignment[v]
-        if best_cost < costs[current]:
-            out_players[m] = v
-            out_bests[m] = best
-            m += 1
-    return out_players[:m], out_bests[:m]
-
-
-exact_scalar_moves_loop = _maybe_jit(_exact_scalar_moves_loop)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import base64
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -191,12 +191,24 @@ class SolveCheckpoint:
             "csr_slots": int(instance.indices.size),
         }
 
-    def validate_for(self, instance, solver: Optional[str] = None) -> None:
-        """Refuse resuming onto the wrong solver or instance."""
+    def validate_for(
+        self,
+        instance,
+        solver: Optional[str] = None,
+        state_keys: Sequence[str] = (),
+    ) -> None:
+        """Refuse resuming onto the wrong solver or instance, or from a
+        ``state`` that lacks one of the ``state_keys`` the solver reads."""
         if solver is not None and self.solver != solver:
             raise DataError(
                 f"checkpoint was taken by {self.solver!r}, cannot resume "
                 f"{solver!r} from it"
+            )
+        missing = [key for key in state_keys if key not in self.state]
+        if missing:
+            raise DataError(
+                f"checkpoint state lacks {', '.join(map(repr, missing))}, "
+                f"which resuming {self.solver!r} needs"
             )
         expected = self.fingerprint_of(instance)
         if self.fingerprint != expected:

@@ -31,7 +31,8 @@ invoked when a write is actually due, so uninterrupted solves without
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Union
+import copy
+from typing import Callable, Optional, Tuple, Union
 
 from repro.errors import ConfigurationError
 from repro.obs.recorder import Recorder, active_recorder
@@ -175,24 +176,28 @@ def load_resume(
     instance,
     solver: str,
     recorder: Optional[Recorder] = None,
+    state_keys: Tuple[str, ...] = (),
 ) -> Optional[SolveCheckpoint]:
     """Resolve a kernel's ``resume_from`` argument into a checkpoint.
 
     Accepts a path (loaded via :func:`repro.core.serialize.load_checkpoint`)
     or an in-memory :class:`SolveCheckpoint`; either way the checkpoint is
-    validated against the instance and the solver variant before the
-    kernel touches it.  Returns ``None`` when ``resume_from`` is ``None``.
+    validated against the instance, the solver variant and the
+    ``state_keys`` the kernel reads before the kernel touches it.
+    Returns ``None`` when ``resume_from`` is ``None``.
     """
     if resume_from is None:
         return None
     rec = active_recorder(recorder)
     if isinstance(resume_from, SolveCheckpoint):
-        checkpoint = resume_from
+        # Kernels advance the restored arrays in place; the caller's
+        # checkpoint must stay resumable.
+        checkpoint = copy.deepcopy(resume_from)
     else:
         from repro.core.serialize import load_checkpoint
 
         checkpoint = load_checkpoint(resume_from)
-    checkpoint.validate_for(instance, solver)
+    checkpoint.validate_for(instance, solver, state_keys)
     rec.count("solver.checkpoint_restores")
     rec.event(
         "solver.checkpoint_restored",

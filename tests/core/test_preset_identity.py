@@ -1,9 +1,10 @@
 """The paper presets must keep their trajectories on the shared engines.
 
 RMGP_is and RMGP_all run on the batched color-group engine
-(:func:`repro.core.vectorized.run_batched`); RMGP_b and RMGP_se run
-their sequential sweep on a precomputed dense base cost matrix.  This
-module keeps each preset's former round inline as an oracle:
+(:func:`repro.core.vectorized.run_batched`); RMGP_b, RMGP_se and RMGP_gt
+run on the sequential global-table engine
+(:func:`repro.core.global_table.run_sequential`).  This module keeps
+each preset's former round inline as an oracle:
 
 * RMGP_is — per-player best responses of each group's dirty members
   (one :func:`~repro.core.objective.player_strategy_costs` each),
@@ -17,8 +18,9 @@ module keeps each preset's former round inline as an oracle:
 Hypothesis draws three instance families, several α, every ``init`` and
 ``order`` and fixed seeds; each solver must match its oracle on the
 assignment, the per-round deviations and ``num_rounds``.  The identity
-classes of the default options (``is`` ≡ ``all`` ≡ ``vec`` and
-``se`` ≡ ``gt``) are pinned as plain tests.
+classes (``is`` ≡ ``all`` ≡ ``vec`` under default options; ``b`` ≡
+``gt`` under every matched ``init``/``order``, joined by ``se`` under
+``init="closest"``) are pinned as plain tests.
 """
 
 from __future__ import annotations
@@ -271,3 +273,34 @@ def test_se_and_gt_share_one_trajectory(family, alpha):
     np.testing.assert_array_equal(se.assignment, gt.assignment)
     assert se.num_rounds == gt.num_rounds
     assert se.value == gt.value
+
+
+def _same_trajectory(run, reference) -> None:
+    np.testing.assert_array_equal(run.assignment, reference.assignment)
+    assert run.num_rounds == reference.num_rounds
+    assert [r.deviations for r in run.rounds[1:]] == [
+        r.deviations for r in reference.rounds[1:]
+    ]
+
+
+@pytest.mark.parametrize("init", dynamics.INIT_METHODS)
+@pytest.mark.parametrize("order", dynamics.ORDER_METHODS)
+def test_sequential_presets_share_one_trajectory(init, order):
+    # RMGP_se pre-assigns its single-strategy players, so under a random
+    # initialization it starts from a different profile than b and gt;
+    # under init="closest" those players already sit on their class.
+    presets = ("b", "se") if init == "closest" else ("b",)
+    for family in FAMILIES:
+        for seed in range(8):
+            instance = make_instance(family, 40, 5, 0.5, seed)
+            gt = partition(
+                instance, solver="gt", init=init, order=order, seed=seed
+            )
+            for preset in presets:
+                _same_trajectory(
+                    partition(
+                        instance, solver=preset, init=init, order=order,
+                        seed=seed,
+                    ),
+                    gt,
+                )

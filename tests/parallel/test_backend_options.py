@@ -10,7 +10,6 @@ from repro.errors import ConfigurationError
 from repro.parallel.backend import (
     KNOWN_BACKENDS,
     WORKERS_ENV,
-    numba_available,
     resolve_backend,
     resolve_workers,
 )
@@ -78,14 +77,9 @@ class TestResolveBackend:
         assert resolved.effective == "pure"
         assert resolved.info()["backend"] == "pure"
 
-    @pytest.mark.skipif(
-        numba_available(), reason="numba importable: no fallback to assert"
-    )
-    def test_numba_falls_back_to_pure_when_absent(self):
-        resolved = resolve_backend("numba", None)
-        assert resolved.requested == "numba"
-        assert resolved.effective == "pure"
-        assert "numba" in resolved.reason
+    def test_numba_is_an_unknown_backend(self):
+        with pytest.raises(ConfigurationError, match="known backends: pure, shm"):
+            resolve_backend("numba", None)
 
 
 class TestSolveOptionsValidation:
@@ -96,6 +90,10 @@ class TestSolveOptionsValidation:
     def test_unknown_backend_rejected_at_construction(self):
         with pytest.raises(ConfigurationError, match="unknown backend"):
             SolveOptions(backend="cuda")
+
+    def test_numba_backend_rejected_at_construction(self):
+        with pytest.raises(ConfigurationError, match="unknown backend 'numba'"):
+            SolveOptions(backend="numba")
 
     @pytest.mark.parametrize("bad", [0, -5, 1.5, True])
     def test_exact_scale_must_be_positive_int(self, bad):
@@ -120,5 +118,5 @@ class TestRegistrySurface:
     def test_unknown_not_available(self):
         assert not backend_available("tpu")
 
-    def test_numba_reports_import_truth(self):
-        assert backend_available("numba") == numba_available()
+    def test_numba_is_not_a_backend(self):
+        assert not backend_available("numba")

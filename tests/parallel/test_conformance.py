@@ -1,8 +1,8 @@
 """Backend conformance: every backend × solver × family is byte-identical.
 
 The determinism contract of :mod:`repro.parallel` is not "close": the
-shm pool, the (optional) numba kernels and the pure path must produce
-**the same bytes** — same assignment, same round trajectory — because
+shm pool and the pure path must produce **the same bytes** — same
+assignment, same round trajectory — because
 the merge replays the serial commit order and every float is computed
 by an operation sequence with identical rounding (see DESIGN.md §4.5).
 """
@@ -15,14 +15,13 @@ import pytest
 import repro
 from repro.api import SolveOptions
 from repro.errors import ConfigurationError
-from repro.parallel.backend import numba_available
 from repro.runtime.token import CancelToken
 
 from tests.streaming.conftest import INSTANCE_FAMILIES
 
 PARALLEL_SOLVERS = ("is", "vec", "gt", "sync")
 
-BACKENDS = ["shm"] + (["numba"] if numba_available() else [])
+BACKENDS = ["shm"]
 
 
 def _solve(instance, solver, **kwargs):
@@ -73,17 +72,6 @@ def test_workers_one_serial_fallback_still_identical():
     assert fallback.assignment.tobytes() == pure.assignment.tobytes()
     assert fallback.extra["backend_effective"] == "pure"
     assert "serial fallback" in fallback.extra["backend_fallback_reason"]
-
-
-@pytest.mark.skipif(numba_available(), reason="numba importable here")
-def test_numba_fallback_is_recorded_and_identical():
-    instance = INSTANCE_FAMILIES["erdos_renyi"]()
-    pure = _solve(instance, "vec")
-    result = _solve(instance, "vec", backend="numba")
-    assert result.assignment.tobytes() == pure.assignment.tobytes()
-    assert result.extra["backend"] == "numba"
-    assert result.extra["backend_effective"] == "pure"
-    assert "numba" in result.extra["backend_fallback_reason"]
 
 
 def test_threads_and_workers_are_mutually_exclusive():

@@ -1,10 +1,8 @@
-"""Kernel equivalence: loop forms vs numpy forms, float and exact.
+"""Kernel equivalence: the chunk kernels vs the pure solver arithmetic.
 
-The numba backend jits the *loop* kernels; numba is optional, but the
-loop kernels are plain Python when it is absent, so their semantics —
-which is what the jit compiles — are testable everywhere.  Each loop
-form must return bit-identical moves to its numpy counterpart, because
-both are documented as byte-identical to the pure solvers.
+The float kernels must return bit-identical moves (and table rows) to
+the pure paths they replicate, whole or chunked; the integer-exact
+kernels must agree with each other exactly.
 """
 
 from __future__ import annotations
@@ -13,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.core import dynamics
-from repro.core.global_table import build_global_table, table_round
+from repro.core.global_table import build_global_table
 from repro.core.objective import player_strategy_costs
 from repro.parallel import kernels
 
@@ -48,34 +46,6 @@ def test_scalar_moves_match_objective_module(family):
         if best != current and costs[best] < costs[current] - TOL:
             expected.append((int(player), best))
     assert list(zip(players.tolist(), bests.tolist())) == expected
-
-
-@pytest.mark.parametrize("family", sorted(INSTANCE_FAMILIES))
-def test_scalar_loop_matches_numpy_form(family):
-    _, ka, assignment, members = _setup(family)
-    a = kernels.scalar_moves(
-        ka.indptr, ka.indices, ka.scaled_dense, ka.maxsc, ka.refunds,
-        assignment, members, TOL,
-    )
-    b = kernels._scalar_moves_loop(
-        ka.indptr, ka.indices, ka.scaled_dense, ka.maxsc, ka.refunds,
-        assignment, members, TOL,
-    )
-    assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
-
-
-@pytest.mark.parametrize("family", sorted(INSTANCE_FAMILIES))
-def test_batched_loop_matches_numpy_form(family):
-    instance, ka, assignment, members = _setup(family)
-    a = kernels.batched_moves(
-        ka.indptr, ka.indices, ka.scaled_dense, ka.maxsc, ka.refunds,
-        assignment, members, instance.k, TOL,
-    )
-    b = kernels._batched_moves_loop(
-        ka.indptr, ka.indices, ka.scaled_dense, ka.maxsc, ka.refunds,
-        assignment, members, TOL,
-    )
-    assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
 def test_chunked_batched_moves_equal_whole_batch():
@@ -114,38 +84,13 @@ def test_table_rows_chunks_equal_full_build():
     assert out.tobytes() == full.tobytes()
 
 
-def test_table_sweep_loop_matches_table_round():
-    instance, _, assignment, _ = _setup("erdos_renyi")
-    ka = kernels.kernel_arrays(instance)
-    sweep = np.argsort(-instance.degrees(), kind="stable").astype(np.int64)
-
-    table_a = build_global_table(instance, assignment)
-    table_b = table_a.copy()
-    assign_a = assignment.copy()
-    assign_b = assignment.copy()
-    active_a = dynamics.ActiveSet(instance.n)
-    flags_b = np.ones(instance.n, dtype=bool)
-
-    dev_a, exam_a = table_round(
-        instance, table_a, assign_a, active_a, sweep.tolist()
-    )
-    dev_b, exam_b = kernels._table_sweep_loop(
-        table_b, assign_b, flags_b, sweep, ka.indptr, ka.indices,
-        ka.refunds, TOL,
-    )
-    assert (dev_a, exam_a) == (dev_b, exam_b)
-    assert assign_a.tobytes() == assign_b.tobytes()
-    assert table_a.tobytes() == table_b.tobytes()
-    assert np.array_equal(active_a.flags, flags_b)
-
-
-def test_exact_scalar_loop_matches_exact_batched():
-    # int64 accumulation is associative, so the sequential loop and the
-    # add.at accumulator must agree exactly — this is the property the
-    # LocalEngine relies on when numba is absent.
+def test_exact_scalar_matches_exact_batched():
+    # int64 accumulation is associative, so the per-player subtract.at
+    # form (the shm scalar kernel) and the batched accumulator must
+    # agree exactly — this is what lets the LocalEngine serve both.
     instance, _, assignment, members = _setup("barabasi_albert")
     payload = kernels.exact_payload(instance, 10**9)
-    a = kernels._exact_scalar_moves_loop(
+    a = kernels.exact_scalar_moves(
         instance.indptr, instance.indices, payload.int_cost,
         payload.int_maxsc, payload.int_refund, assignment, members,
     )

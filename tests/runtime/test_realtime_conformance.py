@@ -21,6 +21,8 @@ import pytest
 
 from repro import SolveOptions, partition
 from repro.core.objective import potential
+from repro.core.serialize import load_checkpoint
+from repro.errors import DataError
 from repro.obs import recording
 from repro.runtime import (
     CancelToken,
@@ -183,8 +185,6 @@ def test_deadline_on_manual_clock_constrained_solvers(name):
 
 
 def test_periodic_checkpoints_written(tmp_path):
-    from repro.core.serialize import load_checkpoint
-
     path = str(tmp_path / "periodic.ckpt.json")
     instance = random_instance()
     result = partition(
@@ -195,6 +195,72 @@ def test_periodic_checkpoints_written(tmp_path):
     checkpoint = load_checkpoint(path)
     checkpoint.validate_for(instance, "RMGP_gt")
     assert checkpoint.round_index >= 1
+
+
+def _interrupted_checkpoint(tmp_path, instance, name):
+    path = str(tmp_path / f"{name}.ckpt.json")
+    partial = partition(
+        instance, solver=name, seed=SEED,
+        cancel_token=CountdownToken(1), checkpoint_path=path,
+    )
+    assert not partial.converged, "need a multi-round instance"
+    return load_checkpoint(path)
+
+
+class TestResumeStateValidation:
+    """A checkpoint whose ``state`` lacks a key the solver reads is a
+    typed :class:`~repro.errors.DataError` naming the key, never a bare
+    ``KeyError`` from inside the kernel."""
+
+    def test_gt_checkpoint_without_table(self, tmp_path):
+        instance = random_instance()
+        checkpoint = _interrupted_checkpoint(tmp_path, instance, "gt")
+        del checkpoint.state["table"]
+        with pytest.raises(DataError, match="'table'"):
+            partition(instance, solver="gt", seed=SEED,
+                      resume_from=checkpoint)
+
+    @pytest.mark.parametrize("name", ["b", "se"])
+    def test_sweep_only_layout_of_the_recompute_round(self, tmp_path, name):
+        # Before b and se ran on the global table their checkpoints
+        # carried only the sweep order; the table cannot be rebuilt
+        # bit-identically from the assignment, so resuming refuses.
+        instance = random_instance()
+        checkpoint = _interrupted_checkpoint(tmp_path, instance, name)
+        checkpoint.state = {"sweep": checkpoint.state["sweep"]}
+        with pytest.raises(DataError, match="'table'"):
+            partition(instance, solver=name, seed=SEED,
+                      resume_from=checkpoint)
+
+    @pytest.mark.parametrize("name", ["b", "gt"])
+    def test_empty_state_names_every_missing_key(self, tmp_path, name):
+        instance = random_instance()
+        checkpoint = _interrupted_checkpoint(tmp_path, instance, name)
+        checkpoint.state = {}
+        with pytest.raises(DataError, match="'sweep', 'table'"):
+            partition(instance, solver=name, seed=SEED,
+                      resume_from=checkpoint)
+
+
+@pytest.mark.parametrize("name", sorted(SOLVER_CASES))
+def test_in_memory_checkpoint_resumes_twice(tmp_path, name):
+    """Resuming must not edit the caller's checkpoint in place."""
+    instance = random_instance()
+    extra = SOLVER_CASES[name]
+    reference = partition(instance, solver=name, seed=SEED, **extra)
+    path = str(tmp_path / "twice.ckpt.json")
+    partial = partition(
+        instance, solver=name, seed=SEED, cancel_token=CountdownToken(1),
+        checkpoint_path=path, **extra,
+    )
+    if partial.converged:
+        return
+    checkpoint = load_checkpoint(path)
+    for _ in range(2):
+        resumed = partition(instance, solver=name, seed=SEED,
+                            resume_from=checkpoint, **extra)
+        assert np.array_equal(resumed.assignment, reference.assignment)
+        assert resumed.num_rounds == reference.num_rounds
 
 
 def test_checkpoint_every_requires_path():

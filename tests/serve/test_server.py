@@ -76,6 +76,35 @@ class TestBasics:
             conn.close()
 
 
+    def test_numba_backend_is_a_400_error_envelope(self, client):
+        # numba is no longer a backend: the option fails validation
+        # before a job is queued, never as a 5xx from a worker.
+        import http.client
+
+        from repro.serve.errors import validate_error
+
+        body = json.dumps(
+            {
+                "instance": {"dataset": "paper"},
+                "solver": "gt",
+                "options": {"backend": "numba"},
+            }
+        ).encode()
+        conn = http.client.HTTPConnection(client.host, client.port, timeout=10)
+        try:
+            conn.request(
+                "POST", "/v1/solve", body=body,
+                headers={"Content-Type": "application/json"},
+            )
+            response = conn.getresponse()
+            assert 400 <= response.status < 500
+            payload = json.loads(response.read().decode())
+        finally:
+            conn.close()
+        assert validate_error(payload) == []
+        assert "numba" in payload["error"]["message"]
+        assert client.health()["status"] == "ok"
+
 class TestSolve:
     def test_sync_solve_returns_valid_result(self, client):
         payload = client.solve(
